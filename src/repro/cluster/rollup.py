@@ -38,6 +38,7 @@ DECISION_KINDS = (
     "leave",      # a shard began leaving the ring (graceful or forced)
     "retire",     # a leaving/removed shard slot was finally retired
     "kill",       # stop() escalated to SIGKILL on a straggling shard
+    "stop",       # a shard shut down (stop or leave): graceful|sigkill|crashed
 )
 
 

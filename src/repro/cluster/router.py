@@ -60,6 +60,7 @@ interrupted work migrates onto freshly spawned shard generations.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as queue_module
 import signal
@@ -351,17 +352,37 @@ class ClusterRouter:
         job still unresolved after the drain is settled from the shard
         journals where possible and failed with ``SHARD_CRASHED``
         otherwise -- stop never leaves a waiter hanging.
+
+        Every shard gets the whole ``timeout``: exits are awaited
+        together, so a wedged shard cannot eat a healthy sibling's
+        budget.  Each stopped shard's shutdown seconds and reason land in
+        the rollup (see :meth:`_record_stop`).
         """
         with self._lock:
             self._stopping = True
             handles = list(self._handles.values())
-            for handle in handles:
-                if handle.supervised:
-                    self._send(handle, "stop", drain)
-        deadline = time.monotonic() + timeout
-        for handle in handles:
-            if handle.process is not None:
-                handle.process.join(max(0.1, deadline - time.monotonic()))
+            stopping = [h for h in handles if h.supervised]
+            for handle in stopping:
+                self._send(handle, "stop", drain)
+        started = time.monotonic()
+        deadline = started + timeout
+        waiting = {
+            h.process.sentinel: h for h in stopping if h.process is not None
+        }
+        while waiting:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            for sentinel in multiprocessing.connection.wait(
+                list(waiting), remaining
+            ):
+                handle = waiting.pop(sentinel)
+                handle.process.join()
+                self._record_stop(
+                    handle,
+                    started,
+                    "graceful" if handle.process.exitcode == 0 else "crashed",
+                )
         # Escalation: stragglers that ignored the deadline are SIGKILLed
         # and reported; their unresolved jobs settle from journals below.
         for handle in handles:
@@ -378,6 +399,8 @@ class ClusterRouter:
                     handle.name,
                     f"ignored stop(drain={drain}) for {timeout:g}s; SIGKILLed",
                 )
+                if handle in stopping:
+                    self._record_stop(handle, started, "sigkill")
         # Let the event thread drain final results/stopped messages.
         settle_deadline = time.monotonic() + 10.0
         while time.monotonic() < settle_deadline:
@@ -400,6 +423,25 @@ class ClusterRouter:
         self._settle_unresolved()
         if self._checkpoint is not None:
             self._checkpoint.close()
+
+    def _record_stop(
+        self, handle: _ShardHandle, started: float, reason: str
+    ) -> None:
+        """Record one shard's shutdown: seconds since ``started`` (when
+        it was told to stop) and why it ended -- ``graceful`` (clean
+        exit), ``sigkill`` (the router killed it) or ``crashed`` (it
+        exited with an error)."""
+        seconds = time.monotonic() - started
+        self.metrics.gauge(
+            "cluster_shard_shutdown_seconds", seconds, shard=handle.name
+        )
+        self.metrics.decision(
+            "stop",
+            handle.name,
+            f"{reason} after {seconds:.3f}s",
+            reason=reason,
+            seconds=seconds,
+        )
 
     # ----------------------------------------------------------- the protocol
 
@@ -555,8 +597,11 @@ class ClusterRouter:
         drained.  A drain that times out falls back to the crash path
         (fence -> adopt -> migrate) so the leave can never hang.
         ``drain=False`` is an immediate forced leave via the same fence
-        path -- exactly a crash, minus the restart.
+        path -- exactly a crash, minus the restart.  Either way the
+        shard's shutdown is recorded (see :meth:`_record_stop`), timed
+        from its ``stop`` command, or from the leave when none was sent.
         """
+        started = time.monotonic()
         with self._lock:
             if self._stopping:
                 raise ServiceStopped("cluster is stopping; membership frozen")
@@ -586,21 +631,28 @@ class ClusterRouter:
             )
             if not drain:
                 self._recover_shard(handle, "forced-leave", restart=False)
+                self._record_stop(handle, started, "sigkill")
                 return
             self._send(handle, "evict", None, "leave")
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._lock:
                 if handle.state != "leaving":
-                    return  # the supervisor already settled it (crash path)
+                    # The supervisor already settled it (crash path).
+                    self._record_stop(handle, started, "crashed")
+                    return
                 if not self._assigned[name]:
                     self._send(handle, "stop", True)
+                    started = time.monotonic()
                     break
             time.sleep(0.02)
         else:
             with self._lock:
+                reason = "crashed"
                 if handle.state == "leaving":
                     self._recover_shard(handle, "leave-timeout", restart=False)
+                    reason = "sigkill"
+                self._record_stop(handle, started, reason)
             return
         stop_deadline = time.monotonic() + timeout
         while time.monotonic() < stop_deadline:
@@ -619,7 +671,9 @@ class ClusterRouter:
                     break
             time.sleep(0.02)
         with self._lock:
+            reason = "crashed"
             if handle.state == "stopped":
+                reason = "graceful"
                 handle.state = "retired"
                 self.metrics.decision("retire", name, "graceful leave complete")
                 if self._checkpoint is not None:
@@ -633,8 +687,10 @@ class ClusterRouter:
                     )
             elif handle.state == "leaving":
                 self._recover_shard(handle, "leave-timeout", restart=False)
+                reason = "sigkill"
         if handle.process is not None:
             handle.process.join(5.0)
+        self._record_stop(handle, started, reason)
 
     def _handoff_plan(self, ring: HashRing) -> Dict[str, Set[str]]:
         """Job ids per current shard whose placement remaps under ``ring``.

@@ -42,6 +42,7 @@ a hung-but-alive shard can never double-execute work the router migrates.
 from __future__ import annotations
 
 import multiprocessing
+import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -91,9 +92,6 @@ class ShardSpec:
     validate: bool = False
     #: Enable the HLOP fusion/batching pass in every job's run.
     fuse: bool = False
-    #: Jobs one worker thread drives concurrently through the overlap
-    #: driver (see :class:`ServiceConfig.overlap_jobs`).
-    overlap_jobs: int = 1
     runtime_seed: int = 2023
     #: Seconds between heartbeats.
     heartbeat_interval: float = 0.05
@@ -157,16 +155,33 @@ class _EventChannel:
                 self.transport.send(message)
             self.transport.flush()
 
-    def close(self, timeout: float = 2.0) -> None:
+    def close(self, commands: Any, timeout: float = 2.0) -> None:
         """Keep resending until the outbox drains (bounded) -- the final
-        ``stopped`` event must survive the transport too."""
+        ``stopped`` event must survive the transport too.
+
+        The command loop has exited by now, so the router's
+        ``ack_event`` commands are read here: waiting on ``commands``
+        (instead of sleeping) applies each ack as it lands and returns as
+        soon as the outbox is empty.  Any other command is dropped -- a
+        stopped shard executes nothing more.
+        """
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
+        while True:
             with self._lock:
                 if self.outbox.empty and self.transport.held == 0:
                     return
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
             self.tick()
-            time.sleep(0.02)
+            try:
+                _, kind, args = commands.get(timeout=min(remaining, 0.02))
+            except queue_module.Empty:
+                continue
+            except (OSError, EOFError):
+                break  # the command link is gone: no ack can arrive
+            if kind == "ack_event":
+                self.ack(int(args[0]))
         with self._lock:
             self.transport.flush(force=True)
 
@@ -203,7 +218,6 @@ def shard_main(
             fault_plan=spec.fault_plan,
             validate=spec.validate,
             fuse=spec.fuse,
-            overlap_jobs=spec.overlap_jobs,
             runtime_seed=spec.runtime_seed,
             on_finish=report,
         )
@@ -349,7 +363,7 @@ def shard_main(
         # The outbox keeps resending until the router acks (or the bound
         # expires); without this, chaos could eat the final events of a
         # clean shutdown and turn a graceful leave into a fake crash.
-        channel.close(timeout=2.0)
+        channel.close(commands, timeout=2.0)
 
 
 def encode_hlops(hlops: Dict[int, Any]) -> Dict[int, Dict[str, Any]]:

@@ -274,9 +274,7 @@ class FusingBackend(ExecBackend):
                         self.cache.stats.inflight_joins += 1
                     continue
                 pending[key] = position
-            # Content-based, not object-identity: equal-signature tasks
-            # from *different* platform instances (concurrent jobs under
-            # the overlap driver) land in one unit.  The device signature
+            # Content-based, not object-identity: the device signature
             # pins everything the numeric path reads, so any member's
             # device may execute the unit; context equality comes from the
             # content fingerprint when one exists ("" = unfingerprintable
@@ -417,9 +415,3 @@ class _JoinedHandle(TaskHandle):
 
     def result(self) -> np.ndarray:
         return self._leader.result()
-
-    def ready(self) -> bool:
-        return self._leader.ready()
-
-    def waitable(self):
-        return self._leader.waitable()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 
 class EventKind(enum.Enum):
@@ -53,7 +53,6 @@ class Event:
     seq: int = field(default_factory=lambda: next(_seq_counter))
     callback: Optional[Callable[[], None]] = field(default=None, compare=False)
     kind: EventKind = field(default=EventKind.GENERIC, compare=False)
-    payload: Any = field(default=None, compare=False)
     cancelled: bool = field(default=False, compare=False)
 
     def cancel(self) -> None:

@@ -6,6 +6,7 @@ directly with fake clocks and hand-built handles -- no processes at all.
 """
 
 import os
+import queue as queue_module
 import tempfile
 import time
 from collections import Counter
@@ -23,6 +24,7 @@ from repro.cluster import (
     load_router_checkpoint,
 )
 from repro.cluster.router import ClusterJob, _ShardHandle
+from repro.cluster.shard import _EventChannel
 from repro.cluster.transport import ReliableOutbox, Transport
 from repro.errors import InvalidInput, TransportFailed, UnknownName
 from repro.serve import AdmissionConfig, load_checkpoint
@@ -115,6 +117,12 @@ def test_remove_shard_drains_gracefully_and_retires(tmp_path):
     assert Counter(j.state for j in jobs) == {JobState.DONE: 16}
     assert router.metrics.total("cluster_reshard_leaves_total") == 1
     assert len(router.metrics.decisions("retire")) == 1
+    leaver_stops = [
+        d["reason"]
+        for d in router.metrics.decisions("stop")
+        if d["device"] == "shard-1"
+    ]
+    assert leaver_stops == ["graceful"]
     # The retiree took no crash path and nothing placed on it afterwards.
     assert router.metrics.total("cluster_shard_crashes_total") == 0
     leave_seq = min(d["seq"] for d in router.metrics.decisions("leave"))
@@ -190,6 +198,64 @@ def test_stop_escalates_to_sigkill_on_wedged_shard(tmp_path):
     kills = router.metrics.decisions("kill")
     assert len(kills) == 1 and kills[0]["device"] == "shard-0"
     assert Counter(j.state for j in jobs) == {JobState.DONE: 4}
+    # The wedged shard did not eat its healthy sibling's budget.
+    stops = {d["device"]: d["reason"] for d in router.metrics.decisions("stop")}
+    assert stops == {"shard-0": "sigkill", "shard-1": "graceful"}
+
+
+def test_graceful_stop_of_healthy_shards_kills_none(tmp_path):
+    router = make_router(tmp_path, shards=2, tag="graceful")
+    try:
+        jobs = [router.submit(spec) for spec in specs(4, prefix="graceful")]
+        wait_all(jobs)
+    finally:
+        router.stop(drain=True, timeout=2.0)
+    assert router.metrics.total("cluster_stop_sigkilled_total") == 0
+    assert router.metrics.decisions("kill") == []
+    assert router.metrics.total("cluster_shard_crashes_total") == 0
+    stops = router.metrics.decisions("stop")
+    assert sorted(d["device"] for d in stops) == ["shard-0", "shard-1"]
+    assert all(d["reason"] == "graceful" for d in stops)
+    # Each shard's shutdown seconds reach the exported rollup.
+    gauges = [
+        r
+        for r in router.metrics.records()
+        if r.get("name") == "cluster_shard_shutdown_seconds"
+    ]
+    assert sorted(r["labels"]["shard"] for r in gauges) == ["shard-0", "shard-1"]
+    assert Counter(j.state for j in jobs) == {JobState.DONE: 4}
+
+
+class _ScriptedCommands:
+    """A command queue that replays fixed commands, then reports empty."""
+
+    def __init__(self, commands):
+        self.commands = list(commands)
+        self.gets = 0
+
+    def get(self, timeout=None):
+        self.gets += 1
+        if not self.commands:
+            raise queue_module.Empty
+        return self.commands.pop(0)
+
+
+def test_event_channel_close_returns_on_the_routers_ack():
+    events = _FakeQueue()
+    channel = _EventChannel(events, "shard-0", 1, chaos=None, ack_timeout=60.0)
+    seq = channel.emit("stopped", {"metrics": []})
+    commands = _ScriptedCommands(
+        [
+            (7, "submit", ({"kernel": "sobel"},)),  # too late: dropped
+            (8, "ack_event", (seq,)),
+        ]
+    )
+    channel.close(commands, timeout=60.0)
+    # Returned on the ack: both commands read, nothing more waited for.
+    assert commands.gets == 2
+    assert channel.outbox.empty
+    assert channel.resent == 0
+    assert [message[0] for message in events.items] == ["stopped"]
 
 
 class _FakeQueue:

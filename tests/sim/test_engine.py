@@ -135,9 +135,8 @@ def test_engine_not_reentrant():
 
 def test_event_kind_payload_passthrough():
     engine = Engine()
-    event = engine.schedule(1.0, lambda: None, kind=EventKind.STEAL, payload={"x": 1})
+    event = engine.schedule(1.0, lambda: None, kind=EventKind.STEAL)
     assert event.kind is EventKind.STEAL
-    assert event.payload == {"x": 1}
 
 
 def test_zero_delay_fires_at_current_time():
